@@ -10,12 +10,17 @@
 package hgmatch_test
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"runtime"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -30,6 +35,7 @@ import (
 	"hgmatch/internal/hgio"
 	"hgmatch/internal/hypergraph"
 	"hgmatch/internal/querygen"
+	"hgmatch/internal/server"
 	"hgmatch/internal/setops"
 	"hgmatch/internal/shard"
 )
@@ -299,6 +305,77 @@ func BenchmarkShardedScatterQ3(b *testing.B) {
 				b.Fatal("scattered workload found nothing")
 			}
 			b.ReportMetric(float64(emb), "embeddings")
+		})
+	}
+}
+
+// BenchmarkServeQ3 is the handler rung of the serving ladder: the q3
+// kernel workload (SB x0.4, ~100k embeddings) driven through the full
+// hgserve handler over loopback HTTP (server.New + httptest) with
+// Workers: 1, as /count (one summary line) and as /match (~3 MB of
+// NDJSON rows, read to the end). ns/emb is per embedding of the run and
+// resp_bytes the response body size, so /match minus /count is the price
+// of encoding and shipping the rows. scripts/bench.sh fails when the
+// /match median exceeds 3x the /count median.
+func BenchmarkServeQ3(b *testing.B) {
+	h, q := kernelWorkload()
+	var text strings.Builder
+	if err := hgio.Write(&text, q); err != nil {
+		b.Fatal(err)
+	}
+	body, err := json.Marshal(hgio.MatchRequest{Graph: "sb", Query: text.String(), Workers: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	p, err := core.NewPlan(q, h)
+	if err != nil {
+		b.Fatal(err)
+	}
+	want := engine.Run(p, engine.Options{Workers: 1}).Embeddings
+
+	reg := server.NewRegistry()
+	if err := reg.Add("sb", h); err != nil {
+		b.Fatal(err)
+	}
+	s := server.New(reg, server.Config{})
+	defer s.Close()
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+
+	for _, route := range []string{"count", "match"} {
+		b.Run(route, func(b *testing.B) {
+			var resp bytes.Buffer
+			post := func() {
+				resp.Reset()
+				r, err := srv.Client().Post(srv.URL+"/"+route, "application/json", bytes.NewReader(body))
+				if err != nil {
+					b.Fatal(err)
+				}
+				_, err = resp.ReadFrom(r.Body)
+				r.Body.Close()
+				if err != nil || r.StatusCode != http.StatusOK {
+					b.Fatalf("/%s: status %d, %v", route, r.StatusCode, err)
+				}
+			}
+			post() // warm the plan cache and the connection
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				post()
+			}
+			b.StopTimer()
+			// The last line is the MatchSummary on both routes.
+			out := bytes.TrimSpace(resp.Bytes())
+			var sum hgio.MatchSummary
+			if err := json.Unmarshal(out[bytes.LastIndexByte(out, '\n')+1:], &sum); err != nil {
+				b.Fatal(err)
+			}
+			if !sum.Done || sum.Embeddings != want {
+				b.Fatalf("/%s: %+v, library counts %d embeddings", route, sum, want)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(want), "ns/emb")
+			b.ReportMetric(float64(resp.Len()), "resp_bytes")
+			b.ReportMetric(float64(want), "embeddings")
 		})
 	}
 }

@@ -2,6 +2,7 @@ package hgio
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"hgmatch/internal/hypergraph"
@@ -61,6 +62,26 @@ func (r *MatchRequest) ParseQuery() (*hypergraph.Hypergraph, error) {
 // plan's matching order (the "order" field of the closing MatchSummary).
 type EmbeddingRecord struct {
 	Embedding []uint32 `json:"embedding"`
+}
+
+// AppendEmbeddingRecord appends m's EmbeddingRecord NDJSON line to dst
+// and returns the extended slice. The bytes equal what
+// json.NewEncoder(w).Encode(EmbeddingRecord{Embedding: m}) writes,
+// trailing newline included, for every m: nil encodes as null, an empty
+// slice as []. It is the /match row encoder, so it does no reflection
+// and no allocation beyond growing dst.
+func AppendEmbeddingRecord(dst []byte, m []uint32) []byte {
+	if m == nil {
+		return append(dst, `{"embedding":null}`+"\n"...)
+	}
+	dst = append(dst, `{"embedding":[`...)
+	for i, e := range m {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = strconv.AppendUint(dst, uint64(e), 10)
+	}
+	return append(dst, "]}\n"...)
 }
 
 // MatchSummary is the final NDJSON line of POST /match and the whole body

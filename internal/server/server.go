@@ -48,6 +48,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"runtime"
@@ -275,12 +276,24 @@ func writeJSON(w http.ResponseWriter, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
-// decodeRequest parses and validates a match/count request body.
+// decodeRequest parses and validates a match/count request body. The body
+// must be exactly one JSON object: trailing whitespace is allowed, but
+// anything else after it (garbage, or a second object that would slip
+// past DisallowUnknownFields) is a 400.
 func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request) (*hgio.MatchRequest, bool) {
 	var req hgio.MatchRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	err := dec.Decode(&req)
+	if err == nil {
+		switch _, terr := dec.Token(); {
+		case terr == nil:
+			err = errors.New("trailing data after the request object")
+		case terr != io.EOF:
+			err = fmt.Errorf("trailing data after the request object: %w", terr)
+		}
+	}
+	if err != nil {
 		status := http.StatusBadRequest
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
@@ -591,13 +604,16 @@ func (g *guardedWriter) write(p []byte) bool {
 
 // handleMatch streams every embedding as one NDJSON line, closing with a
 // MatchSummary line. Results never materialise server-side, and the stream
-// is sharded: every engine worker encodes into its own buffer via
+// is sharded: every engine worker appends its rows to its own buffer via
 // WithWorkerCallback, guarded by a per-shard mutex that only the owning
 // worker and the 5Hz background flusher ever contend for — no global
-// per-embedding lock. Full buffers drain immediately; the flusher drains
-// partial ones so slow enumerations still stream interactively. Lines from
-// different workers interleave, but each drained buffer holds whole lines,
-// so the NDJSON framing is preserved; result order was never deterministic.
+// per-embedding lock. Rows are written by hgio.AppendEmbeddingRecord, a
+// reflection-free encoder whose bytes equal encoding/json's for every row;
+// only the once-per-request summary line goes through encoding/json. Full
+// buffers drain immediately; the flusher drains partial ones so slow
+// enumerations still stream interactively. Lines from different workers
+// interleave, but each drained buffer holds whole lines, so the NDJSON
+// framing is preserved; result order was never deterministic.
 func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 	req, ok := s.decodeRequest(w, r)
 	if !ok {
@@ -638,8 +654,7 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 
 	type shard struct {
 		mu  sync.Mutex
-		buf bytes.Buffer
-		enc *json.Encoder
+		buf []byte
 	}
 	// Shards are sized to the whole pool, not the request's workers cap:
 	// on the shared pool any worker may serve this request, so callback
@@ -647,7 +662,6 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 	shards := make([]*shard, s.pool.Workers())
 	for i := range shards {
 		shards[i] = &shard{}
-		shards[i].enc = json.NewEncoder(&shards[i].buf)
 	}
 	var wmu sync.Mutex // serialises shard drains into the response
 	// drain moves a shard's buffered lines to the response; the caller
@@ -657,9 +671,9 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 	// bounded on workers that haven't observed the stop yet.
 	drain := func(sh *shard) {
 		wmu.Lock()
-		gw.write(sh.buf.Bytes())
+		gw.write(sh.buf)
 		wmu.Unlock()
-		sh.buf.Reset()
+		sh.buf = sh.buf[:0]
 	}
 	stopFlush := make(chan struct{})
 	flushDone := make(chan struct{})
@@ -674,7 +688,7 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 			case <-tick.C:
 				for _, sh := range shards {
 					sh.mu.Lock()
-					if sh.buf.Len() > 0 {
+					if len(sh.buf) > 0 {
 						drain(sh)
 					}
 					sh.mu.Unlock()
@@ -693,8 +707,8 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 		}
 		sh := shards[wid]
 		sh.mu.Lock()
-		sh.enc.Encode(hgio.EmbeddingRecord{Embedding: m})
-		if sh.buf.Len() >= shardFlushBytes {
+		sh.buf = hgio.AppendEmbeddingRecord(sh.buf, m)
+		if len(sh.buf) >= shardFlushBytes {
 			drain(sh)
 		}
 		sh.mu.Unlock()
@@ -708,9 +722,7 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 	// assemble without locking and ship as one guarded write.
 	var tail bytes.Buffer
 	for _, sh := range shards {
-		if sh.buf.Len() > 0 {
-			tail.Write(sh.buf.Bytes())
-		}
+		tail.Write(sh.buf)
 	}
 	json.NewEncoder(&tail).Encode(summarise(res, plan, cached))
 	gw.write(tail.Bytes())
@@ -720,9 +732,10 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 // the shard sub-runs into one deterministic embedding stream (per-unit
 // sorted, unit-order concatenated — identical for every shard count) and
 // replays it through one serialised callback, so this path needs no
-// per-worker shard buffers or background flusher: a single encoder
-// accumulates merged lines and ships them through the slow-client guard a
-// chunk at a time, then the closing summary (or error trailer). The
+// per-worker shard buffers or background flusher: the callback appends
+// merged lines to a single buffer with the same hgio.AppendEmbeddingRecord
+// row encoder as handleMatch and ships them through the slow-client guard
+// a chunk at a time, then the closing summary (or error trailer). The
 // X-Shards header reports the topology without touching the MatchSummary
 // wire shape, keeping sharded and solo bodies byte-comparable.
 func (s *Server) serveShardedMatch(w http.ResponseWriter, gw *guardedWriter, req *hgio.MatchRequest, sg *hgmatch.ShardedGraph, plan *hgmatch.Plan, cached bool, opts []hgmatch.Option) {
@@ -730,25 +743,25 @@ func (s *Server) serveShardedMatch(w http.ResponseWriter, gw *guardedWriter, req
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("X-Plan-Cache", cacheHeader(cached))
 	w.Header().Set("X-Shards", strconv.Itoa(sg.NumShards()))
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
+	var buf []byte
 	opts = append(opts, hgmatch.WithCallback(func(m []hgmatch.EdgeID) {
 		if gw.broken.Load() {
 			// Client gone: the guard already cancelled the run (which also
 			// stops the scatter claiming new shard units); dropping the
 			// buffer bounds this connection's encode memory meanwhile.
-			buf.Reset()
+			buf = buf[:0]
 			return
 		}
-		enc.Encode(hgio.EmbeddingRecord{Embedding: m})
-		if buf.Len() >= shardFlushBytes {
-			gw.write(buf.Bytes())
-			buf.Reset()
+		buf = hgio.AppendEmbeddingRecord(buf, m)
+		if len(buf) >= shardFlushBytes {
+			gw.write(buf)
+			buf = buf[:0]
 		}
 	}))
 	res := s.recordRun(req.Graph, s.pool.RunSharded(plan, sg, opts...))
-	enc.Encode(summarise(res, plan, cached))
-	gw.write(buf.Bytes())
+	tail := bytes.NewBuffer(buf)
+	json.NewEncoder(tail).Encode(summarise(res, plan, cached))
+	gw.write(tail.Bytes())
 }
 
 // handleCount runs the same pipeline as /match with the sink counting

@@ -31,6 +31,14 @@ go test -run '^$' \
 	-bench 'BenchmarkWALIngest' \
 	-benchmem -count=3 -benchtime=50x ./internal/server | tee -a "$tmp"
 
+# The serving ladder's handler rung: the same q3 workload through the full
+# hgserve handler over loopback HTTP with Workers: 1, as /count and as
+# /match (~3 MB of NDJSON rows). Gated below: the /match median must stay
+# within 3x the /count median.
+go test -run '^$' \
+	-bench 'BenchmarkServeQ3' \
+	-benchmem -count=5 -benchtime=20x . | tee -a "$tmp"
+
 # The set-kernel ablation (array vs bitmap vs hybrid containers across
 # density/k) runs at a fixed iteration count high enough for its ns-scale
 # ops; it documents where the hybrid posting containers win and where the
@@ -68,3 +76,21 @@ go test -run '^$' \
 } > "$out"
 
 echo "wrote $out"
+
+# median_ns prints the median ns/op of the benchmark lines named $1 (go
+# test appends -GOMAXPROCS to the name unless it is 1).
+median_ns() {
+	grep -E "^$1(-[0-9]+)?[[:space:]]" "$tmp" | awk '{ print $3 }' | sort -n |
+		awk '{ v[NR] = $1 } END { if (NR) print v[int((NR + 1) / 2)] }'
+}
+count_ns=$(median_ns 'BenchmarkServeQ3/count')
+match_ns=$(median_ns 'BenchmarkServeQ3/match')
+if [ -z "$count_ns" ] || [ -z "$match_ns" ]; then
+	echo "bench gate: BenchmarkServeQ3 results missing" >&2
+	exit 1
+fi
+if ! awk -v m="$match_ns" -v c="$count_ns" 'BEGIN { exit !(m <= 3 * c) }'; then
+	echo "bench gate: /match median ${match_ns} ns/op exceeds 3x the /count median ${count_ns} ns/op" >&2
+	exit 1
+fi
+echo "bench gate: /match median ${match_ns} ns/op within 3x the /count median ${count_ns} ns/op"
